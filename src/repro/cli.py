@@ -479,7 +479,6 @@ def _cmd_ingest(args) -> int:
         host=args.host,
         port=args.port,
         max_connections=args.max_connections,
-        coalesce_window=args.coalesce_window,
     )
     ingest.start()
     host, port = ingest.address
@@ -858,10 +857,6 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.add_argument(
         "--max-connections", type=int, default=10_000,
         help="connection cap; extra peers are refused with BACKPRESSURE",
-    )
-    ingest.add_argument(
-        "--coalesce-window", type=float, default=0.002,
-        help="seconds to gather votes into one vote_batch flush",
     )
     ingest.add_argument(
         "--mode", choices=("process", "thread"), default=None,

@@ -310,10 +310,9 @@ class ShardServer(VoterServer):
         if self.max_resident_series is None or self._tiered is None:
             return
         while len(self._engines) > self.max_resident_series:
-            series, engine = self._engines.popitem(last=False)
-            history = getattr(engine.voter, "history", None)
-            if history is not None:
-                history.persist()
+            # Every history mutation writes through, so the engine's
+            # state is already in the tiered store: drop it unwritten.
+            series, _ = self._engines.popitem(last=False)
             self._tiered.evict(series)
 
     @property
@@ -574,9 +573,6 @@ class ShardServer(VoterServer):
             # records *and* its update counter, so the bootstrap trigger
             # and EMA warm-up behave as if this shard never crashed.
             history.absorb(records, int(updates))
-            # absorb skips the store by design; persist() writes both
-            # the records and the adopted update counter through.
-            history.persist()
         else:
             history.seed(records, count_as_update=False)
         if watermark is not None:

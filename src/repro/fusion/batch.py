@@ -519,7 +519,7 @@ def _run_clustering(ctx: _BatchContext) -> None:
     voter = ctx.engine.voter
     params = voter.params
     margins = kernels.batch_dynamic_margins(
-        ctx.matrix, params.error, params.min_margin, ctx.counts
+        ctx.matrix, params.error, params.min_margin, ctx.mask, ctx.counts
     )
     cluster_margins = margins * params.soft_threshold
     collation = params.collation.upper()
@@ -611,7 +611,7 @@ def _run_incoherence(ctx: _BatchContext) -> None:
     voter = ctx.engine.voter
     params = voter.params
     margins = kernels.batch_dynamic_margins(
-        ctx.matrix, params.error, params.min_margin, ctx.counts
+        ctx.matrix, params.error, params.min_margin, ctx.mask, ctx.counts
     )
     ensured = False
     for number in np.flatnonzero(ctx.votable):
@@ -677,7 +677,7 @@ def _run_history(ctx: _BatchContext) -> None:
     collate = kernels.collation_function(collation)
 
     margins = kernels.batch_dynamic_margins(
-        ctx.matrix, params.error, params.min_margin, ctx.counts
+        ctx.matrix, params.error, params.min_margin, ctx.mask, ctx.counts
     )
     scores_all = kernels.batch_agreement_scores(
         ctx.matrix,

@@ -30,6 +30,7 @@ in the background instead of on the vote path.
 
 from __future__ import annotations
 
+import logging
 import threading
 import time
 from collections import OrderedDict
@@ -40,6 +41,8 @@ from ..obs import StoreInstruments, get_default_registry
 from .store import HistoryStore, SeriesState, SeriesStateStore
 
 __all__ = ["TieredHistoryStore", "TieredSeriesStore", "DEFAULT_HOT_SERIES"]
+
+logger = logging.getLogger("repro.history.tiered")
 
 #: Default hot-set capacity. Sized so a shard's resident state stays in
 #: the tens of MB even with wide module rosters; ``avoc cluster`` exposes
@@ -76,7 +79,9 @@ class TieredHistoryStore:
             :meth:`compact` (and ``maintenance_hook``, if any) every
             this many seconds.
         maintenance_hook: extra callable run by the maintenance thread
-            after each compaction pass; exceptions are swallowed.
+            after each compaction pass.  A failing compaction or hook is
+            counted in ``store_maintenance_errors_total{stage}`` and
+            logged; the thread keeps running.
     """
 
     def __init__(
@@ -250,17 +255,22 @@ class TieredHistoryStore:
         self._obs.compaction_seconds.observe(time.perf_counter() - started)
 
     def _maintenance_loop(self, interval: float) -> None:
+        # A failing pass is counted and logged, and the loop carries on:
+        # the next pass retries, and storage errors also surface on the
+        # next foreground write.
         while not self._maintenance_stop.wait(interval):
             try:
                 self.compact()
             except Exception:
-                pass  # storage errors surface on the next foreground write
+                self._obs.compaction_errors.inc()
+                logger.warning("history store compaction failed", exc_info=True)
             hook = self._maintenance_hook
             if hook is not None:
                 try:
                     hook()
                 except Exception:
-                    pass
+                    self._obs.hook_errors.inc()
+                    logger.warning("history maintenance hook failed", exc_info=True)
 
     def clear(self) -> None:
         """Forget everything in both tiers."""

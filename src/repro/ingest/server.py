@@ -10,12 +10,15 @@ a :class:`~repro.ingest.bridge.ThreadBridge`.
 
 Three mechanisms keep the tier stable under overload:
 
-* **Vote coalescing** — ``vote`` requests buffer briefly
-  (``coalesce_window``) and flush as one ``vote_batch`` through the
-  sink's vectorised ``process_batch`` path.  Exactly one flush is in
-  flight at a time, so per-series round order is preserved end to end
-  (history-aware voters are order-sensitive); the cluster gateway still
-  fans each batch across shards internally, so parallelism is not lost.
+* **Group-commit vote flushing** — a ``vote`` request is forwarded as
+  soon as the single flush slot is free; votes that arrive while a
+  flush is on the wire queue up and go out together as the next
+  ``vote_batch`` through the sink's vectorised ``process_batch`` path.
+  An idle tier adds no linger, and a busy one coalesces in proportion
+  to the load.  Exactly one flush is in flight at a time, so per-series
+  round order is preserved end to end (history-aware voters are
+  order-sensitive); the cluster gateway still fans each batch across
+  shards internally, so parallelism is not lost.
 * **Backpressure** — bounded vote queues, per connection and global.
   A vote over either bound is refused immediately with an
   ``ErrorCode.BACKPRESSURE`` envelope instead of buffering without
@@ -111,9 +114,6 @@ class AsyncIngestServer:
         max_queued_per_connection: per-connection bound on buffered
             votes (a single runaway sensor cannot exhaust the global
             budget).
-        coalesce_window: seconds to linger after the first buffered
-            vote before flushing, letting a burst coalesce into one
-            ``vote_batch`` (0 flushes as fast as the flush loop spins).
         drain_grace: seconds a peer may take to drain a response
             before it is disconnected as a slow consumer.
         bridge_workers: thread-pool size for the sync sink bridge.
@@ -132,7 +132,6 @@ class AsyncIngestServer:
         max_connections: int = 10_000,
         max_queued_votes: int = 4096,
         max_queued_per_connection: int = 64,
-        coalesce_window: float = 0.002,
         drain_grace: float = 5.0,
         bridge_workers: int = 4,
         write_buffer_high: Optional[int] = None,
@@ -144,7 +143,6 @@ class AsyncIngestServer:
         self.max_connections = max_connections
         self.max_queued_votes = max_queued_votes
         self.max_queued_per_connection = max_queued_per_connection
-        self.coalesce_window = coalesce_window
         self.drain_grace = drain_grace
         #: Transport write high-water mark; ``drain()`` blocks beyond
         #: it, which is what arms the slow-consumer timeout.  ``None``
@@ -200,10 +198,12 @@ class AsyncIngestServer:
             self._stop_event.set()
         loop.call_soon_threadsafe(_signal)
         thread.join(timeout=10.0)
+        # Stop the bridge before closing the loop: a worker finishing an
+        # in-flight dispatch still posts its result to the loop.
+        self._bridge.stop()
         loop.close()
         self._thread = None
         self._loop = None
-        self._bridge.stop()
 
     def __enter__(self) -> "AsyncIngestServer":
         return self.start()
@@ -481,6 +481,11 @@ class AsyncIngestServer:
         return future
 
     async def _coalesce_loop(self) -> None:
+        """Group commit: flush everything pending once the slot is free.
+
+        No linger: an idle tier forwards a vote at once, and the votes
+        that queue while a flush is in flight form the next batch.
+        """
         assert self._votes_available is not None
         while True:
             await self._votes_available.wait()
@@ -488,8 +493,6 @@ class AsyncIngestServer:
             if self._closing:
                 self._fail_pending()
                 return
-            if self.coalesce_window > 0:
-                await asyncio.sleep(self.coalesce_window)
             pending, self._pending = self._pending, []
             if pending:
                 await self._flush(pending)

@@ -285,6 +285,8 @@ class StoreInstruments:
         "rehydrations",
         "writebacks",
         "compaction_seconds",
+        "compaction_errors",
+        "hook_errors",
     )
 
     def __init__(self, registry: MetricsRegistry, store: Any = None):
@@ -305,6 +307,13 @@ class StoreInstruments:
             "store_compaction_seconds",
             "Wall time of one backing-store compaction pass.",
         )
+        errors = registry.counter(
+            "store_maintenance_errors_total",
+            "Background maintenance passes that raised, by stage.",
+            labels=("stage",),
+        )
+        self.compaction_errors = errors.labels("compact")
+        self.hook_errors = errors.labels("hook")
         if store is not None:
             # Last store constructed against a registry wins, matching
             # the fusion_history_record precedent in EngineInstruments.

@@ -259,10 +259,12 @@ class HistoryRecords:
         """Overwrite all records and the update counter in one step.
 
         Write-back hook for the vectorized batch kernel
-        (:mod:`repro.fusion.batch`): the kernel evolves the records in a
-        float array and deposits the final state here.  Values are
-        clamped like :meth:`seed`.  The attached store is not written —
-        the batch kernel only engages for store-less records.
+        (:mod:`repro.fusion.batch`), which evolves the records in a
+        float array and deposits the final state here, and for a
+        replica resync adopting a survivor's state.  Values are clamped
+        like :meth:`seed`.  Like every other mutation, the new state is
+        written through to the attached store, so an evicted series
+        never needs a second write.
         """
         self._index = {}
         self._values = np.empty(max(8, len(records)), dtype=float)
@@ -270,6 +272,7 @@ class HistoryRecords:
         for module, value in records.items():
             self._set(module, min(max(float(value), 0.0), 1.0))
         self._updates = int(update_count)
+        self.persist()
 
     def reset(self) -> None:
         """Forget everything; records return to the initial value."""

@@ -78,20 +78,23 @@ def batch_dynamic_margins(
     matrix: np.ndarray,
     error: float,
     min_margin: float,
+    mask: np.ndarray,
     counts: np.ndarray,
 ) -> np.ndarray:
     """Per-round dynamic margins, identical to :func:`dynamic_margin`.
 
-    Rounds with zero present values get ``min_margin`` (the scalar
-    helper's empty-input convention).
+    Rows are count-bucketed and compacted, so each reference is the
+    plain ``np.median`` of the present values — the scalar helper's own
+    expression (``np.nanmedian`` would detour through ``np.ma`` on
+    small blocks at a fixed cost of a few hundred µs).  Rounds with
+    zero present values get ``min_margin`` (the scalar helper's
+    empty-input convention).
     """
-    n_rounds = matrix.shape[0]
-    margins = np.full(n_rounds, float(min_margin))
-    populated = counts > 0
-    if np.any(populated):
-        with np.errstate(all="ignore"):
-            refs = np.nanmedian(matrix[populated], axis=1)
-        margins[populated] = np.maximum(np.abs(refs) * error, min_margin)
+    margins = np.full(matrix.shape[0], float(min_margin))
+    for count, sel in _count_buckets(counts, np.flatnonzero(counts > 0)):
+        compact = matrix[sel][mask[sel]].reshape(sel.size, count)
+        refs = np.median(compact, axis=1)
+        margins[sel] = np.maximum(np.abs(refs) * error, min_margin)
     return margins
 
 

@@ -377,6 +377,40 @@ class TestTieredResidency:
         assert got["a"] == want
         assert got["b"] == want
 
+    def test_eviction_writes_nothing_twice(self, tmp_path):
+        """Over a hot set smaller than the fleet, each voted round is
+        written back exactly once, an eviction does not push a second
+        series out, and evicted series vote bit-identically."""
+        resident, n_series, n_rounds = 4, 12, 10
+        rows = rows_for(n_rounds, seed=9)
+        reference = build_engine(AVOC_SPEC)
+        outcome = reference.process_batch(np.asarray(rows), MODULES)
+        want = [None if np.isnan(v) else float(v) for v in outcome.values]
+        server = ShardServer(AVOC_SPEC, history_dir=tmp_path, store="packed",
+                             max_resident_series=resident)
+        got = {f"s{k}": [] for k in range(n_series)}
+        try:
+            for i, row in enumerate(rows):
+                for series, values in got.items():
+                    response = server.dispatch(
+                        {"op": "vote", "round": i, "series": series,
+                         "values": dict(zip(MODULES, row))}
+                    )
+                    values.append(response["result"]["value"])
+            tiered = server.tiered_store
+            assert tiered.writebacks == n_series * n_rounds
+            assert tiered.rehydrations > 0
+            # Every series enters the hot set once new, then once per
+            # rehydration; all but the resident ones have left it.
+            assert tiered.evictions == (
+                n_series + tiered.rehydrations - resident
+            )
+            assert len(server.resident_series) == resident
+        finally:
+            server.stop()
+        for values in got.values():
+            assert values == want
+
     def test_restart_is_lazy_and_rehydrates_on_demand(self, tmp_path):
         rows = rows_for(10)
         server = ShardServer(AVOC_SPEC, history_dir=tmp_path, store="packed")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -145,6 +146,41 @@ class TestMaintenance:
         store.close()
         assert calls  # the hook ran at least once
         assert store.backing.compactions >= 1
+
+    @pytest.mark.parametrize("stage", ["compact", "hook"])
+    def test_failing_pass_is_counted_and_the_loop_keeps_running(self, stage):
+        calls = []
+
+        class BrokenBacking(MemoryStateStore):
+            def compact(self):
+                raise OSError("disk gone")
+
+        def hook():
+            calls.append(1)
+            if stage == "hook":
+                raise RuntimeError("watermark log unwritable")
+
+        registry = MetricsRegistry()
+        store = TieredHistoryStore(
+            BrokenBacking() if stage == "compact" else MemoryStateStore(),
+            hot_series=4,
+            registry=registry,
+            maintenance_interval=0.01,
+            maintenance_hook=hook,
+        )
+        deadline = time.time() + 5.0
+        while len(calls) < 3 and time.time() < deadline:
+            time.sleep(0.01)
+        store.close()
+        assert len(calls) >= 3  # the loop outlived the failures
+        errors = {
+            line.split()[0]: float(line.split()[1])
+            for line in registry.render().splitlines()
+            if line.startswith("store_maintenance_errors_total{")
+        }
+        failed = f'store_maintenance_errors_total{{stage="{stage}"}}'
+        assert errors[failed] >= 2
+        assert sum(errors.values()) == errors[failed]
 
 
 class TestBitIdentity:

@@ -28,9 +28,7 @@ def test_500_round_ingest_run_bit_identical_to_direct_fuse():
     with FusionCluster(
         AVOC_SPEC, n_shards=2, replicas=2, mode="thread"
     ) as cluster:
-        with AsyncIngestServer(
-            cluster.gateway, coalesce_window=0.0
-        ) as ingest:
+        with AsyncIngestServer(cluster.gateway) as ingest:
             with connect(ingest.address) as client:
                 assert client.transport == "binary"
                 got = []

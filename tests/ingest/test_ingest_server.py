@@ -38,6 +38,20 @@ def _values(row):
     return {m: float(v) for m, v in zip(MODULES, row)}
 
 
+def _echo_batch(request):
+    """A ``vote_batch`` answer voting every round to 1.0."""
+    results = [
+        {
+            "series": b["series"],
+            "results": [
+                {"round": n, "value": 1.0, "status": "ok"} for n in b["rounds"]
+            ],
+        }
+        for b in request["batches"]
+    ]
+    return ok_response(results=results)
+
+
 @pytest.fixture()
 def shard_ingest():
     """Ingest tier over a batch-capable shard sink (the coalescing path)."""
@@ -177,6 +191,55 @@ class TestCoalescing:
             "rounds_processed"
         ] == 2
 
+    def test_votes_arriving_during_a_flush_form_the_next_batch(self):
+        # Group commit: vote 0 flushes at once; votes 1-5 arrive while
+        # it is still at the sink and go out together as one batch.
+        holding = threading.Event()
+        release = threading.Event()
+        batches = []
+
+        class GatedSink:
+            def _op_vote_batch(self, request):  # marks batch capability
+                raise NotImplementedError
+
+            def dispatch(self, request):
+                batches.append([b["rounds"] for b in request["batches"]])
+                if len(batches) == 1:
+                    holding.set()
+                    release.wait(timeout=10.0)
+                return _echo_batch(request)
+
+        registry = MetricsRegistry()
+        with AsyncIngestServer(GatedSink(), registry=registry) as ingest:
+            with socket.create_connection(ingest.address, timeout=10.0) as sock:
+                def send(n):
+                    sock.sendall(
+                        encode_message(
+                            {"op": "vote", "round": n, "values": FAULTY,
+                             "series": "g"}
+                        )
+                    )
+
+                send(0)
+                assert holding.wait(timeout=10.0)
+                for n in range(1, 6):
+                    send(n)
+                deadline = time.monotonic() + 10.0
+                while ingest.obs.queued_votes.value < 6:
+                    assert time.monotonic() < deadline, "votes never queued"
+                    time.sleep(0.005)
+                release.set()
+                buffer = b""
+                while buffer.count(b"\n") < 6:
+                    buffer += sock.recv(65536)
+            responses = [
+                decode_message(line) for line in buffer.strip().split(b"\n")
+            ]
+        assert batches == [[[0]], [[1, 2, 3, 4, 5]]]
+        assert [r["result"]["round"] for r in responses] == list(range(6))
+        assert ingest.obs.coalesced_rounds.count == 2
+        assert ingest.obs.coalesced_rounds.sum == 6.0
+
 
 class TestBackpressure:
     def test_vote_queue_full_answers_backpressure(self):
@@ -201,23 +264,11 @@ class TestBackpressure:
             def dispatch(self, request):
                 if request["op"] == "vote_batch":
                     release.wait(timeout=10.0)
-                    results = [
-                        {
-                            "series": b["series"],
-                            "results": [
-                                {"round": n, "value": 1.0, "status": "ok"}
-                                for n in b["rounds"]
-                            ],
-                        }
-                        for b in request["batches"]
-                    ]
-                    return ok_response(results=results)
+                    return _echo_batch(request)
                 return ok_response(pong=True)
 
         with AsyncIngestServer(
-            BlockingSink(),
-            max_queued_per_connection=2,
-            coalesce_window=0.0,
+            BlockingSink(), max_queued_per_connection=2
         ) as ingest:
             host, port = ingest.address
             with socket.create_connection((host, port), timeout=10.0) as sock:
