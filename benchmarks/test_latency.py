@@ -14,7 +14,7 @@ import itertools
 
 import pytest
 
-from repro.history.file import JsonlHistoryStore
+from repro.history import JsonlStateStore, TieredHistoryStore
 from repro.types import Round
 from repro.voting.avoc import AvocVoter
 from repro.voting.hybrid import HybridVoter
@@ -63,18 +63,17 @@ def test_avoc_round_latency(benchmark):
 
 def test_store_backed_round_latency(benchmark, tmp_path):
     """The datastore write is the bottleneck, exactly as §7 states."""
-    store = JsonlHistoryStore(tmp_path / "history.jsonl", compact_after=512)
-    voter = HybridVoter(history_store=store)
+    store = JsonlStateStore(tmp_path, compact_after=512)
+    voter = HybridVoter(history_store=store.store_for("s"))
     next_round = _rounds()
     benchmark(lambda: voter.vote(next_round()))
     assert benchmark.stats["mean"] < 50e-3
 
 
 def test_write_behind_cache_recovers_most_of_the_cost(benchmark, tmp_path):
-    """The write-behind cache amortises the datastore bottleneck."""
+    """The tiered store's write-behind (``flush_every``) amortises the
+    datastore bottleneck."""
     import time
-
-    from repro.history.cached import WriteBehindStore
 
     def time_voter(voter, n=300):
         next_round = _rounds()
@@ -86,17 +85,17 @@ def test_write_behind_cache_recovers_most_of_the_cost(benchmark, tmp_path):
     def measure():
         direct = time_voter(
             HybridVoter(
-                history_store=JsonlHistoryStore(
-                    tmp_path / "direct.jsonl", compact_after=512
-                )
+                history_store=JsonlStateStore(
+                    tmp_path / "direct", compact_after=512
+                ).store_for("s")
             )
         )
         cached = time_voter(
             HybridVoter(
-                history_store=WriteBehindStore(
-                    JsonlHistoryStore(tmp_path / "cached.jsonl", compact_after=512),
+                history_store=TieredHistoryStore(
+                    JsonlStateStore(tmp_path / "cached", compact_after=512),
                     flush_every=16,
-                )
+                ).store_for("s")
             )
         )
         memory = time_voter(HybridVoter())
@@ -130,9 +129,9 @@ def test_latency_ordering_matches_paper(benchmark, tmp_path):
         history = time_voter(HybridVoter())
         backed = time_voter(
             HybridVoter(
-                history_store=JsonlHistoryStore(
-                    tmp_path / "h.jsonl", compact_after=512
-                )
+                history_store=JsonlStateStore(
+                    tmp_path / "h", compact_after=512
+                ).store_for("s")
             )
         )
         return stateless, history, backed

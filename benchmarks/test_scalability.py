@@ -65,14 +65,12 @@ def test_latency_vs_module_count(benchmark):
 
 
 def test_history_store_cost_scales_with_roster(benchmark, tmp_path):
-    from repro.history.file import JsonlHistoryStore
+    from repro.history import JsonlStateStore
     from repro.voting.hybrid import HybridVoter
 
     def run(n_modules):
-        store = JsonlHistoryStore(
-            tmp_path / f"h{n_modules}.jsonl", compact_after=256
-        )
-        voter = HybridVoter(history_store=store)
+        store = JsonlStateStore(tmp_path / f"h{n_modules}", compact_after=256)
+        voter = HybridVoter(history_store=store.store_for("s"))
         next_round = _round_factory(n_modules)
         start = time.perf_counter()
         for _ in range(100):

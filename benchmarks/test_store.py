@@ -136,7 +136,7 @@ def test_steady_state_residency(benchmark, tmp_path, capsys):
         for _ in range(rounds):
             for k in range(n_series):
                 records, updates = _state(k)
-                store.put_state(f"series-{k:06d}", records, updates + 1)
+                store.write(f"series-{k:06d}", records, updates + 1)
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         hot_size = store.hot_size

@@ -43,7 +43,6 @@ from ..history import (
     PackedHistoryStore,
     SqliteStateStore,
     TieredHistoryStore,
-    series_filename,
 )
 from ..runtime.pool import fork_available
 from ..service.client import VoterClient
@@ -67,11 +66,6 @@ DEFAULT_REPLAY_CACHE_ROUNDS = 1024
 #: Watermark-log appends between compactions (the log is append-only
 #: per voted round; compaction rewrites it to one line per series).
 _WATERMARK_COMPACT_EVERY = 4096
-
-
-# Kept as an alias: the naming scheme moved to repro.history.bulk so the
-# JSONL bulk store shares it, and existing imports keep working.
-_series_filename = series_filename
 
 
 class ShardServer(VoterServer):

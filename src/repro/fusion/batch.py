@@ -36,7 +36,6 @@ legacy loop.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -45,23 +44,21 @@ import numpy as np
 from ..exceptions import FusionError, QuorumNotReachedError
 from ..types import Round, VoteOutcome, is_missing
 from ..voting import kernels
-from ..voting.base import HistoryAwareVoter, Voter
+from ..voting.base import Voter
 from .engine import FusionEngine, FusionResult
 
 __all__ = ["BatchResult", "fuse", "process_matrix"]
 
 # Reason codes for degraded rounds (0 = votable).
 _MISSING = 1  # majority of roster values absent
-_QUORUM_ENGINE = 2  # engine QuorumRule not satisfied
-_QUORUM_VOTER = 3  # deprecated voter-level quorum_percentage
-_CONFLICT = 4  # no majority (plurality tie)
-_EMPTY = 5  # no values at all (EmptyRoundError from the voter)
+_QUORUM = 2  # engine QuorumRule not satisfied
+_CONFLICT = 3  # no majority (plurality tie)
+_EMPTY = 4  # no values at all (EmptyRoundError from the voter)
 
 #: Reason code → degraded-round metric label (matches engine._degraded).
 _REASON_LABELS_BY_CODE = {
     _MISSING: "majority_missing",
-    _QUORUM_ENGINE: "quorum",
-    _QUORUM_VOTER: "quorum",
+    _QUORUM: "quorum",
     _CONFLICT: "conflict",
     _EMPTY: "empty",
 }
@@ -138,11 +135,11 @@ def process_matrix(
 ) -> BatchResult:
     """Fuse every row of ``matrix`` through ``engine`` in one batch.
 
-    Accepts the same inputs as the legacy ``run_matrix`` loop (NaN or
-    None marks a missing reading) and mutates the engine exactly as
-    that loop would: roster learning, ``rounds_processed`` /
-    ``rounds_degraded``, ``last_accepted`` and voter history all end
-    up in the same state, and ``raise`` fault policies raise the same
+    Accepts a rounds × modules matrix (NaN or None marks a missing
+    reading) and mutates the engine exactly as the per-round
+    :meth:`FusionEngine.process` loop would: roster learning,
+    ``rounds_processed`` / ``rounds_degraded``, ``last_accepted`` and
+    voter history all end up in the same state, and ``raise`` fault policies raise the same
     exception at the same round.
     """
     matrix = np.asarray(matrix, dtype=float)
@@ -331,17 +328,7 @@ class _BatchContext:
             reasons[missing_fraction > policy.missing_tolerance] = _MISSING
         required = engine.quorum.required_count(self.roster_size)
         if required > 0:
-            reasons[(reasons == 0) & (self.counts < required)] = _QUORUM_ENGINE
-        # Deprecated voter-level quorum: HistoryAwareVoter.vote checks
-        # ceil(len(readings) * pct / 100) against the submitted count.
-        pct = getattr(
-            getattr(engine.voter, "params", None), "quorum_percentage", 0.0
-        )
-        if isinstance(engine.voter, HistoryAwareVoter) and pct > 0:
-            voter_required = math.ceil(self.n_modules * pct / 100.0)
-            reasons[
-                (reasons == 0) & (self.counts < voter_required)
-            ] = _QUORUM_VOTER
+            reasons[(reasons == 0) & (self.counts < required)] = _QUORUM
         # A fully-empty round that slipped past every earlier check
         # (missing_tolerance >= 1, no quorum) raises EmptyRoundError
         # inside the voter, which the engine maps to on_missing_majority.
@@ -349,8 +336,7 @@ class _BatchContext:
         self.reasons = reasons
         self.actions = {
             _MISSING: policy.on_missing_majority,
-            _QUORUM_ENGINE: policy.on_quorum_failure,
-            _QUORUM_VOTER: policy.on_quorum_failure,
+            _QUORUM: policy.on_quorum_failure,
             _CONFLICT: policy.on_conflict,
             _EMPTY: policy.on_missing_majority,
         }
@@ -391,12 +377,12 @@ class _BatchContext:
         codes = self.reasons[:processed]
         if not codes.any():
             return
-        counts = np.bincount(codes, minlength=6)
+        counts = np.bincount(codes, minlength=len(_REASON_LABELS_BY_CODE) + 1)
         for code, label in _REASON_LABELS_BY_CODE.items():
             hits = int(counts[code])
             if hits:
                 obs.degraded[label].inc(hits)
-        quorum = int(counts[_QUORUM_ENGINE] + counts[_QUORUM_VOTER])
+        quorum = int(counts[_QUORUM])
         if quorum:
             obs.quorum_failures.inc(quorum)
 
@@ -472,7 +458,7 @@ class _BatchContext:
             engine.rounds_processed += 1
             engine.rounds_degraded += 1
             code = int(self.reasons[cutoff])
-            if code in (_QUORUM_ENGINE, _QUORUM_VOTER):
+            if code == _QUORUM:
                 raise QuorumNotReachedError(
                     int(self.counts[cutoff]),
                     engine.quorum.required_count(self.roster_size),
@@ -879,16 +865,11 @@ def _run_history(ctx: _BatchContext) -> None:
 
     update_count = update_count0 + n_v
     rounds_voted = voter._rounds_voted + n_v
-    # HistoryAwareVoter.vote calls history.ensure() even when its own
-    # (deprecated) quorum check then rejects the round — those rounds
-    # materialise records without updating them.
+    # HistoryAwareVoter.vote calls history.ensure() before an empty
+    # round raises EmptyRoundError — those rounds materialise records
+    # without updating them.
     limit = min(ctx.cutoff + 1, ctx.n_rounds)
-    materialised = bool(n_v) or bool(
-        np.any(
-            (ctx.reasons[:limit] == _QUORUM_VOTER)
-            | (ctx.reasons[:limit] == _EMPTY)
-        )
-    )
+    materialised = bool(n_v) or bool(np.any(ctx.reasons[:limit] == _EMPTY))
 
     def writeback() -> None:
         if materialised:

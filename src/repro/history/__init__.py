@@ -2,46 +2,40 @@
 
 The paper's deployment keeps history records in a datastore and notes
 that "datastore reads and writes [are] the bottleneck" of the
-1-millisecond history-aware round (§7).  This package provides two
-interfaces and their backends:
+1-millisecond history-aware round (§7).  This package has one contract,
+:class:`SeriesStateStore`, holding ``(records, updates)`` per series
+key, and one per-series view, :class:`SeriesView` (from
+:meth:`SeriesStateStore.store_for`), which is what a voter's
+:class:`~repro.voting.history.HistoryRecords` attaches to.  Backings:
 
-* :class:`HistoryStore` — one series' records (in-memory, JSONL log,
-  SQLite, write-behind cache);
-* :class:`SeriesStateStore` — bulk state for an entire shard's series
-  population (memory dict, JSONL directory, single SQLite database,
-  packed mmap segments), fronted by :class:`TieredHistoryStore`'s
-  LRU-bounded hot set for million-series shards.
+* :class:`MemoryStateStore` — a dict;
+* :class:`JsonlStateStore` — one JSON-lines append log per series;
+* :class:`SqliteStateStore` — one SQLite database;
+* :class:`PackedHistoryStore` — packed mmap segments for
+  million-series shards;
+* :class:`TieredHistoryStore` — an LRU-bounded hot set over any of the
+  above, with optional batched write-back (``flush_every``).
 """
 
-from .store import HistoryStore, SeriesState, SeriesStateStore
-from .memory import MemoryHistoryStore
-from .file import JsonlHistoryStore
-from .sqlite import SqliteHistoryStore
-from .cached import WriteBehindStore
+from .store import SeriesState, SeriesStateStore, SeriesView
 from .bulk import (
     JsonlStateStore,
     MemoryStateStore,
     SqliteStateStore,
     series_filename,
 )
-from .packed import PackedHistoryStore, PackedSeriesStore
-from .tiered import DEFAULT_HOT_SERIES, TieredHistoryStore, TieredSeriesStore
+from .packed import PackedHistoryStore
+from .tiered import DEFAULT_HOT_SERIES, TieredHistoryStore
 
 __all__ = [
     "DEFAULT_HOT_SERIES",
-    "HistoryStore",
-    "JsonlHistoryStore",
     "JsonlStateStore",
-    "MemoryHistoryStore",
     "MemoryStateStore",
     "PackedHistoryStore",
-    "PackedSeriesStore",
     "SeriesState",
     "SeriesStateStore",
-    "SqliteHistoryStore",
+    "SeriesView",
     "SqliteStateStore",
     "TieredHistoryStore",
-    "TieredSeriesStore",
-    "WriteBehindStore",
     "series_filename",
 ]

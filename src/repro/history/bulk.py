@@ -1,18 +1,17 @@
-"""Non-packed :class:`SeriesStateStore` backings.
+"""Dict, JSONL and SQLite :class:`SeriesStateStore` backings.
 
-These adapt the existing single-series backends to the bulk
-(many-series) interface consumed by
-:class:`~repro.history.tiered.TieredHistoryStore`, so the cluster's
-``--store`` knob can choose between storage tiers without the shard
-code caring:
+Each persists full ``(records, updates)`` state per series, like the
+packed store, so the cluster's ``--store`` knob chooses a storage tier
+without the shard code caring:
 
 * :class:`MemoryStateStore` — a dict; state survives engine eviction
   but dies with the process.
-* :class:`JsonlStateStore` — the legacy one-JSONL-log-per-series
-  layout (same file names the shards always used, so pre-existing
-  history directories keep working).  The JSONL line format cannot
-  carry the update counter; rehydrated series report ``updates == 0``,
-  exactly as a restarted shard always has.
+* :class:`JsonlStateStore` — one JSON-lines append log per series (the
+  file names shards have always used, so existing history directories
+  keep working).  Each write appends one line
+  ``{"records": {...}, "updates": n}``; a read replays the log and
+  keeps the last complete line.  Legacy flat ``{module: record}``
+  lines still load, as ``updates == 0``.
 * :class:`SqliteStateStore` — one SQLite database for the whole shard
   with per-series record rows and an update-counter table.
 """
@@ -20,14 +19,15 @@ code caring:
 from __future__ import annotations
 
 import hashlib
+import json
 import re
 import sqlite3
 import threading
 from pathlib import Path
-from typing import Dict, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 from ..exceptions import HistoryStoreError
-from .file import JsonlHistoryStore
+from ..util import atomic_write
 from .store import SeriesState, SeriesStateStore
 
 __all__ = [
@@ -43,6 +43,10 @@ def series_filename(series: str) -> str:
     slug = re.sub(r"[^A-Za-z0-9_.-]", "_", series)[:48]
     digest = hashlib.blake2b(series.encode("utf-8"), digest_size=6).hexdigest()
     return f"{slug}-{digest}.jsonl"
+
+
+#: Every name :func:`series_filename` can return.
+_SERIES_FILE = re.compile(r"[A-Za-z0-9_.-]{0,48}-[0-9a-f]{12}\.jsonl")
 
 
 class MemoryStateStore(SeriesStateStore):
@@ -78,65 +82,133 @@ class MemoryStateStore(SeriesStateStore):
 
 
 class JsonlStateStore(SeriesStateStore):
-    """Bulk adapter over the legacy per-series JSONL append logs.
+    """Per-series JSON-lines append logs in one directory.
+
+    Appending keeps writes cheap and crash-safe: a torn final line is
+    ignored on replay.  A series' log is compacted to a single line
+    every ``compact_after`` writes (``None`` disables that;
+    :meth:`compact` still works).
 
     ``series()`` only enumerates series written through this process —
     the hashed file names cannot be inverted — so callers that need
     cold-start enumeration (the shard server) keep their own series
-    index, as they always have.  ``read`` works cold for any series.
+    index.  ``read`` works cold for any series, and ``clear`` removes
+    every series log in the directory.
     """
 
     def __init__(
         self, directory: Union[str, Path], compact_after: Optional[int] = 1000
     ):
+        if compact_after is not None and compact_after < 1:
+            raise HistoryStoreError("compact_after must be >= 1 or None")
         self.directory = Path(directory)
         self.compact_after = compact_after
-        self._stores: Dict[str, JsonlHistoryStore] = {}
+        #: Appends since the last compaction, per series written here.
+        self._appends: Dict[str, int] = {}
         self._lock = threading.Lock()
 
-    def _store(self, series: str, cache: bool = True) -> JsonlHistoryStore:
-        with self._lock:
-            store = self._stores.get(series)
-            if store is None:
-                store = JsonlHistoryStore(
-                    self.directory / series_filename(series),
-                    compact_after=self.compact_after,
-                )
-                if cache:
-                    self._stores[series] = store
-            return store
+    def _path(self, series: str) -> Path:
+        return self.directory / series_filename(series)
 
     def read(self, series: str) -> Optional[SeriesState]:
-        # Probing reads must not cache: a miss would otherwise register
-        # a phantom series that ``series()`` then enumerates.
-        records = self._store(series, cache=False).load()
-        if not records:
+        path = self._path(series)
+        state: Optional[SeriesState] = None
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                for line in fh:
+                    line = line.strip()
+                    if not line:
+                        continue
+                    try:
+                        snapshot = json.loads(line)
+                    except json.JSONDecodeError:
+                        continue  # torn trailing write; keep previous state
+                    if isinstance(snapshot, dict):
+                        state = _parse_line(snapshot)
+        except FileNotFoundError:
             return None
-        return records, 0  # the line format has no update counter
+        except OSError as exc:
+            raise HistoryStoreError(f"cannot read history log {path}: {exc}")
+        return state
 
     def write(self, series: str, records: Mapping[str, float], updates: int) -> None:
-        self._store(series).save(records)
+        path = self._path(series)
+        with self._lock:
+            try:
+                self.directory.mkdir(parents=True, exist_ok=True)
+                with open(path, "a", encoding="utf-8") as fh:
+                    fh.write(_format_line(records, updates))
+            except OSError as exc:
+                raise HistoryStoreError(f"cannot append to history log {path}: {exc}")
+            appends = self._appends.get(series, 0) + 1
+            self._appends[series] = appends
+        if self.compact_after is not None and appends >= self.compact_after:
+            self._compact_series(series)
+
+    def _compact_series(self, series: str) -> None:
+        """Rewrite one log as a single line holding its latest state.
+
+        The rewrite goes through :func:`repro.util.atomic_write`, so a
+        crash mid-compaction leaves either the old log or the new one —
+        never a truncated file.  It holds the store lock, so no append
+        lands between the read and the rewrite.
+        """
+        path = self._path(series)
+        with self._lock:
+            state = self.read(series)
+            if state is None:  # deleted since the caller listed it
+                self._appends.pop(series, None)
+                return
+            try:
+                atomic_write(path, _format_line(*state))
+            except OSError as exc:
+                raise HistoryStoreError(f"cannot compact history log {path}: {exc}")
+            self._appends[series] = 0
 
     def delete(self, series: str) -> None:
-        self._store(series).clear()
+        path = self._path(series)
         with self._lock:
-            self._stores.pop(series, None)
+            try:
+                path.unlink(missing_ok=True)
+            except OSError as exc:
+                raise HistoryStoreError(f"cannot remove history log {path}: {exc}")
+            self._appends.pop(series, None)
 
     def series(self) -> Tuple[str, ...]:
         with self._lock:
-            return tuple(sorted(self._stores))
+            return tuple(sorted(self._appends))
 
     def compact(self) -> None:
-        with self._lock:
-            stores = list(self._stores.values())
-        for store in stores:
-            store.compact()
+        for series in self.series():
+            self._compact_series(series)
 
     def clear(self) -> None:
+        """Forget every series, including logs an earlier process wrote:
+        their keys are unknown here, but their file names are not."""
         with self._lock:
-            stores, self._stores = list(self._stores.values()), {}
-        for store in stores:
-            store.clear()
+            for path in self.directory.glob("*.jsonl"):
+                if not _SERIES_FILE.fullmatch(path.name):
+                    continue
+                try:
+                    path.unlink(missing_ok=True)
+                except OSError as exc:
+                    raise HistoryStoreError(f"cannot remove history log {path}: {exc}")
+            self._appends.clear()
+
+
+def _format_line(records: Mapping[str, float], updates: int) -> str:
+    return json.dumps(
+        {"records": dict(records), "updates": int(updates)}, sort_keys=True
+    ) + "\n"
+
+
+def _parse_line(snapshot: Dict[str, Any]) -> SeriesState:
+    records = snapshot.get("records")
+    if isinstance(records, dict):
+        return {str(k): float(v) for k, v in records.items()}, int(snapshot["updates"])
+    # Legacy flat ``{module: record}`` line: a record is never a dict,
+    # and the format had no update counter.
+    return {str(k): float(v) for k, v in snapshot.items()}, 0
 
 
 _SCHEMA = """
@@ -243,8 +315,8 @@ class SqliteStateStore(SeriesStateStore):
             try:
                 self._connection.commit()
                 self._connection.execute("VACUUM")
-            except sqlite3.Error:
-                pass  # VACUUM is advisory; WAL checkpoints still apply
+            except sqlite3.Error as exc:
+                raise HistoryStoreError(f"cannot compact series database: {exc}")
 
     def clear(self) -> None:
         with self._lock:
@@ -259,5 +331,5 @@ class SqliteStateStore(SeriesStateStore):
         with self._lock:
             try:
                 self._connection.close()
-            except sqlite3.Error:
-                pass
+            except sqlite3.Error as exc:
+                raise HistoryStoreError(f"cannot close series database: {exc}")

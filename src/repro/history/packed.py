@@ -58,9 +58,9 @@ from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from ..exceptions import HistoryStoreError
 from ..util import atomic_write
-from .store import HistoryStore, SeriesState, SeriesStateStore
+from .store import SeriesState, SeriesStateStore
 
-__all__ = ["PackedHistoryStore", "PackedSeriesStore"]
+__all__ = ["PackedHistoryStore"]
 
 _MAGIC = b"AVH1"
 _HEADER = struct.Struct("<4sII")  # magic, payload length, payload crc32
@@ -88,8 +88,34 @@ def _encode_block(series: str, records: Mapping[str, float], updates: int) -> by
     return _HEADER.pack(_MAGIC, len(payload), zlib.crc32(payload)) + payload
 
 
-def _decode_block(buffer: bytes, offset: int, length: int) -> Tuple[str, Dict[str, float], int]:
-    """Decode one block; raises ``HistoryStoreError`` on any corruption."""
+#: Bound on the decoded-roster cache a store keeps (see ``_decode_block``).
+_ROSTER_CACHE_SIZE = 1024
+
+
+def _decode_roster(roster: bytes, n_modules: int) -> Tuple[str, ...]:
+    names: List[str] = []
+    pos = 0
+    for _ in range(n_modules):
+        if pos + _U16.size > len(roster):
+            raise HistoryStoreError("block roster is truncated")
+        (name_len,) = _U16.unpack_from(roster, pos)
+        pos += _U16.size
+        names.append(roster[pos: pos + name_len].decode("utf-8"))
+        pos += name_len
+    if pos != len(roster):
+        raise HistoryStoreError("block payload has trailing bytes")
+    return tuple(names)
+
+
+def _decode_block(
+    buffer: bytes, offset: int, length: int, rosters: Dict[bytes, Tuple[str, ...]]
+) -> Tuple[str, Dict[str, float], int]:
+    """Decode one block; raises ``HistoryStoreError`` on any corruption.
+
+    ``rosters`` caches decoded module names by their encoded bytes: a
+    shard's series mostly share one roster, so most reads skip the
+    per-name walk.
+    """
     if offset < 0 or offset + length > len(buffer):
         raise HistoryStoreError("block lies outside the segment")
     if length < _HEADER.size:
@@ -99,25 +125,25 @@ def _decode_block(buffer: bytes, offset: int, length: int) -> Tuple[str, Dict[st
         raise HistoryStoreError("bad block magic")
     if _HEADER.size + payload_len != length:
         raise HistoryStoreError("block length mismatch")
-    payload = bytes(buffer[offset + _HEADER.size: offset + length])
+    payload = buffer[offset + _HEADER.size: offset + length]
     if zlib.crc32(payload) != crc:
         raise HistoryStoreError("block checksum mismatch")
-    pos = 0
-    (series_len,) = _U16.unpack_from(payload, pos)
-    pos += _U16.size
-    series = payload[pos: pos + series_len].decode("utf-8")
-    pos += series_len
+    (series_len,) = _U16.unpack_from(payload, 0)
+    pos = _U16.size + series_len
+    series = payload[_U16.size: pos].decode("utf-8")
     updates, n_modules = _META.unpack_from(payload, pos)
     pos += _META.size
-    names: List[str] = []
-    for _ in range(n_modules):
-        (name_len,) = _U16.unpack_from(payload, pos)
-        pos += _U16.size
-        names.append(payload[pos: pos + name_len].decode("utf-8"))
-        pos += name_len
-    values = struct.unpack_from(f"<{n_modules}d", payload, pos)
-    if pos + 8 * n_modules != len(payload):
-        raise HistoryStoreError("block payload has trailing bytes")
+    values_at = len(payload) - 8 * n_modules
+    if values_at < pos:
+        raise HistoryStoreError("block too short for its module count")
+    roster = payload[pos:values_at]
+    names = rosters.get(roster)
+    if names is None:
+        names = _decode_roster(roster, n_modules)
+        if len(rosters) >= _ROSTER_CACHE_SIZE:
+            rosters.clear()
+        rosters[roster] = names
+    values = struct.unpack_from(f"<{n_modules}d", payload, values_at)
     return series, dict(zip(names, values)), int(updates)
 
 
@@ -168,6 +194,7 @@ class PackedHistoryStore(SeriesStateStore):
         self._segment_sizes: Dict[int, int] = {}
         self._live_bytes: Dict[int, int] = {}
         self._mmaps: Dict[int, mmap.mmap] = {}
+        self._rosters: Dict[bytes, Tuple[str, ...]] = {}
         self._active_segment = 0
         self._active_handle: Optional[io.BufferedWriter] = None
         self._index_handle: Optional[io.TextIOWrapper] = None
@@ -311,7 +338,9 @@ class PackedHistoryStore(SeriesStateStore):
 
     def _read_entry(self, series: str, entry: _Entry) -> SeriesState:
         buffer = self._map(entry.segment, entry.offset + entry.length)
-        key, records, updates = _decode_block(buffer, entry.offset, entry.length)
+        key, records, updates = _decode_block(
+            buffer, entry.offset, entry.length, self._rosters
+        )
         if key != series:
             raise HistoryStoreError(
                 f"index for {series!r} points at a block for {key!r}"
@@ -376,16 +405,13 @@ class PackedHistoryStore(SeriesStateStore):
     def clear(self) -> None:
         with self._lock:
             self.close()
-            for path in self.directory.glob("seg-*.pack"):
+            # The index goes first: once it is gone, no restart can
+            # resurrect the cleared state, whatever segments remain.
+            for path in [self.index_path, *self.directory.glob("seg-*.pack")]:
                 try:
-                    path.unlink()
-                except OSError:
-                    pass
-            try:
-                if self.index_path.exists():
-                    self.index_path.unlink()
-            except OSError:
-                pass
+                    path.unlink(missing_ok=True)
+                except OSError as exc:
+                    raise HistoryStoreError(f"cannot clear packed store: {exc}")
             self._entries.clear()
             self._stale.clear()
             self._segment_sizes = {}
@@ -403,12 +429,6 @@ class PackedHistoryStore(SeriesStateStore):
                 self._index_handle.close()
                 self._index_handle = None
             self._closed = True
-
-    def __enter__(self) -> "PackedHistoryStore":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
     # -- storage accounting ------------------------------------------------
 
@@ -501,51 +521,22 @@ class PackedHistoryStore(SeriesStateStore):
         atomic_write(self.index_path, "".join(line + "\n" for line in lines))
         self._stale.clear()
         self._drop_maps()
+        failed: List[str] = []
         for segment in old_segments:
             if segment == self._active_segment:
                 continue
             try:
-                self._segment_path(segment).unlink()
-            except OSError:
-                pass
+                self._segment_path(segment).unlink(missing_ok=True)
+            except OSError as exc:
+                # Left in the segment table, all dead: the next
+                # compaction retries the unlink.
+                failed.append(str(exc))
+                continue
             self._segment_sizes.pop(segment, None)
             self._live_bytes.pop(segment, None)
         self.compactions += 1
         self.last_compaction_seconds = time.perf_counter() - started
-
-    # -- per-series adapter ------------------------------------------------
-
-    def store_for(self, series: str) -> "PackedSeriesStore":
-        """A per-series :class:`HistoryStore` view over this bulk store."""
-        return PackedSeriesStore(self, series)
-
-
-class PackedSeriesStore(HistoryStore):
-    """One series' view of a :class:`PackedHistoryStore`.
-
-    Implements the extended state protocol (``load_state`` /
-    ``save_state``) so attached
-    :class:`~repro.voting.history.HistoryRecords` persist their update
-    counter and rehydrate bit-identically.
-    """
-
-    def __init__(self, backing: PackedHistoryStore, series: str):
-        self.backing = backing
-        self.series = series
-
-    def load_state(self) -> Optional[SeriesState]:
-        return self.backing.read(self.series)
-
-    def save_state(self, records: Mapping[str, float], updates: int) -> None:
-        self.backing.write(self.series, records, updates)
-
-    def load(self) -> Dict[str, float]:
-        state = self.backing.read(self.series)
-        return state[0] if state is not None else {}
-
-    def save(self, records: Mapping[str, float]) -> None:
-        state = self.backing.read(self.series)
-        self.backing.write(self.series, records, state[1] if state else 0)
-
-    def clear(self) -> None:
-        self.backing.delete(self.series)
+        if failed:
+            raise HistoryStoreError(
+                f"cannot unlink compacted segments: {'; '.join(failed)}"
+            )

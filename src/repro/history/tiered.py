@@ -17,10 +17,10 @@ are written back if dirty and rehydrate transparently on the next
 read, bit-identically — state is ``(records, update_counter)``, so a
 rehydrated engine is indistinguishable from one that never left memory.
 
-A :class:`TieredSeriesStore` view (from :meth:`store_for`) adapts one
-series to the single-series ``HistoryStore`` protocol plus the
-extended ``load_state``/``save_state`` pair, which is what
-``HistoryRecords`` attaches to.
+The tiered store is itself a :class:`SeriesStateStore`, so the same
+per-series view (:meth:`~SeriesStateStore.store_for`) that serves any
+backing directly serves it too: that view is what ``HistoryRecords``
+attaches to.
 
 An optional maintenance thread periodically compacts the backing store
 (reclaiming dead packed-segment space) and runs a caller-supplied hook
@@ -38,9 +38,9 @@ from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from ..exceptions import HistoryStoreError
 from ..obs import StoreInstruments, get_default_registry
-from .store import HistoryStore, SeriesState, SeriesStateStore
+from .store import SeriesState, SeriesStateStore
 
-__all__ = ["TieredHistoryStore", "TieredSeriesStore", "DEFAULT_HOT_SERIES"]
+__all__ = ["TieredHistoryStore", "DEFAULT_HOT_SERIES"]
 
 logger = logging.getLogger("repro.history.tiered")
 
@@ -60,7 +60,7 @@ class _HotEntry:
         self.saves_since_flush = 0
 
 
-class TieredHistoryStore:
+class TieredHistoryStore(SeriesStateStore):
     """LRU-bounded hot set of series states over a bulk backing store.
 
     Args:
@@ -127,7 +127,7 @@ class TieredHistoryStore:
 
     # -- state access -----------------------------------------------------
 
-    def get_state(self, series: str) -> Optional[SeriesState]:
+    def read(self, series: str) -> Optional[SeriesState]:
         """The current ``(records, updates)`` for ``series``, or None.
 
         Serves from the hot set when resident (marking the series most
@@ -148,9 +148,7 @@ class TieredHistoryStore:
             self._shrink()
             return dict(records), int(updates)
 
-    def put_state(
-        self, series: str, records: Mapping[str, float], updates: int
-    ) -> None:
+    def write(self, series: str, records: Mapping[str, float], updates: int) -> None:
         """Record the new state of ``series`` (durable per ``flush_every``)."""
         with self._lock:
             entry = self._hot.get(series)
@@ -290,41 +288,3 @@ class TieredHistoryStore:
             thread.join(timeout=5.0)
         self.flush()
         self.backing.close()
-
-    # -- per-series views -------------------------------------------------
-
-    def store_for(self, series: str) -> "TieredSeriesStore":
-        """A single-series ``HistoryStore`` view over this tiered store."""
-        return TieredSeriesStore(self, series)
-
-
-class TieredSeriesStore(HistoryStore):
-    """One series of a :class:`TieredHistoryStore` as a ``HistoryStore``.
-
-    Implements the extended ``load_state``/``save_state`` protocol, so
-    an attached :class:`~repro.voting.history.HistoryRecords` restores
-    both its records and its update counter — the bit-identity
-    requirement for transparent evict/rehydrate.
-    """
-
-    def __init__(self, tiered: TieredHistoryStore, series: str):
-        self.tiered = tiered
-        self.series = series
-
-    def load_state(self) -> Optional[SeriesState]:
-        return self.tiered.get_state(self.series)
-
-    def save_state(self, records: Mapping[str, float], updates: int) -> None:
-        self.tiered.put_state(self.series, records, updates)
-
-    def load(self) -> Dict[str, float]:
-        state = self.load_state()
-        return state[0] if state is not None else {}
-
-    def save(self, records: Mapping[str, float]) -> None:
-        state = self.tiered.get_state(self.series)
-        updates = state[1] if state is not None else 0
-        self.save_state(records, updates)
-
-    def clear(self) -> None:
-        self.tiered.delete(self.series)

@@ -147,7 +147,6 @@ class VoteOutcome:
         eliminated: modules zero-weighted by module elimination.
         used_bootstrap: True when the AVOC clustering step produced this
             output instead of the regular weighted path.
-        quorum_reached: False when the round was rejected for lack of quorum.
         diagnostics: free-form extra information (cluster sizes, ties, ...).
     """
 
@@ -158,7 +157,6 @@ class VoteOutcome:
     agreement: Dict[str, float] = field(default_factory=dict)
     eliminated: Tuple[str, ...] = ()
     used_bootstrap: bool = False
-    quorum_reached: bool = True
     diagnostics: Dict[str, Any] = field(default_factory=dict)
 
 

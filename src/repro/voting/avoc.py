@@ -116,7 +116,6 @@ class AvocVoter(HybridVoter):
             or cls._agreement_matrix is not HistoryAwareVoter._agreement_matrix
             or cls._weights is not HistoryAwareVoter._weights
             or cls._eliminated is not HistoryAwareVoter._eliminated
-            or cls._quorum_reached is not HistoryAwareVoter._quorum_reached
             or cls._should_bootstrap is not AvocVoter._should_bootstrap
             or cls._bootstrap_vote is not AvocVoter._bootstrap_vote
         ):

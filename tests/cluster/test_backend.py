@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cluster.backend import ManagedBackend, ShardServer, _series_filename
+from repro.cluster.backend import STORE_KINDS, ManagedBackend, ShardServer
 from repro.exceptions import ReproError
+from repro.history import series_filename
 from repro.runtime.pool import fork_available
 from repro.service.client import ServiceError, VoterClient
 from repro.vdx.examples import AVOC_SPEC
@@ -36,9 +37,9 @@ def client(shard):
 
 class TestSeriesFilename:
     def test_slug_is_filesystem_safe_and_collision_free(self):
-        assert _series_filename("room/1").endswith(".jsonl")
-        assert "/" not in _series_filename("room/1").rsplit(".", 1)[0]
-        assert _series_filename("room/1") != _series_filename("room_1")
+        assert series_filename("room/1").endswith(".jsonl")
+        assert "/" not in series_filename("room/1").rsplit(".", 1)[0]
+        assert series_filename("room/1") != series_filename("room_1")
 
 
 class TestShardServerSeries:
@@ -354,28 +355,40 @@ class TestTieredResidency:
     def test_thrashed_series_vote_bit_identically(self, tmp_path):
         """With room for one engine, two interleaved series evict each
         other on every round — and must still match an engine that
-        never left memory, exactly."""
-        rows = rows_for(30, seed=5)
+        never left memory, exactly, on every store kind.  The leading
+        rows walk AVOC out of its bootstrap, so a store that drops the
+        update counter re-bootstraps and diverges at rows 5–7."""
+        rows = [[18.0, 18.0, 18.0]] * 5 + [
+            [18.0, 18.3, 30.0],
+            [18.0, 18.3, 18.6],
+            [18.0, 19.0, 18.5],
+            [18.1, 18.2, 18.9],
+        ] + rows_for(30, seed=5)
         reference = build_engine(AVOC_SPEC)
         outcome = reference.process_batch(np.asarray(rows), MODULES)
         want = [None if np.isnan(v) else float(v) for v in outcome.values]
-        server = ShardServer(AVOC_SPEC, history_dir=tmp_path, store="packed",
-                             max_resident_series=1)
-        server.start()
-        try:
-            with VoterClient(*server.address) as c:
-                got = {"a": [], "b": []}
-                for i, row in enumerate(rows):
-                    for key in ("a", "b"):
-                        response = c.vote(i, dict(zip(MODULES, row)),
-                                          series=key)
-                        got[key].append(response["value"])
-            assert server.tiered_store.evictions > 0
-            assert server.tiered_store.rehydrations > 0
-        finally:
-            server.stop()
-        assert got["a"] == want
-        assert got["b"] == want
+        # One loop rather than a parametrization keeps this test's id.
+        for kind in STORE_KINDS:
+            server = ShardServer(AVOC_SPEC, history_dir=tmp_path / kind,
+                                 store=kind, max_resident_series=1)
+            server.start()
+            try:
+                with VoterClient(*server.address) as c:
+                    got = {"a": [], "b": []}
+                    for i, row in enumerate(rows):
+                        for key in ("a", "b"):
+                            response = c.vote(i, dict(zip(MODULES, row)),
+                                              series=key)
+                            got[key].append(response["value"])
+                    history = c.request({"op": "history", "series": "a"})
+                assert server.tiered_store.evictions > 0, kind
+                assert server.tiered_store.rehydrations > 0, kind
+            finally:
+                server.stop()
+            assert got["a"] == want, kind
+            assert got["b"] == want, kind
+            assert history["records"] == reference.voter.history.snapshot(), kind
+            assert history["updates"] == reference.voter.history.update_count, kind
 
     def test_eviction_writes_nothing_twice(self, tmp_path):
         """Over a hot set smaller than the fleet, each voted round is
@@ -440,11 +453,8 @@ class TestTieredResidency:
 
 
 class TestStoreKnobs:
-    @pytest.mark.parametrize(
-        "store,keeps_counter",
-        [("packed", True), ("sqlite", True), ("jsonl", False)],
-    )
-    def test_state_survives_restart(self, tmp_path, store, keeps_counter):
+    @pytest.mark.parametrize("store", ["packed", "sqlite", "jsonl"])
+    def test_state_survives_restart(self, tmp_path, store):
         rows = rows_for(8)
         server = ShardServer(AVOC_SPEC, history_dir=tmp_path, store=store)
         server.start()
@@ -463,10 +473,7 @@ class TestStoreKnobs:
         assert after["records"] == pytest.approx(before["records"])
         assert after["watermark"] == before["watermark"]
         assert before["updates"] > 0
-        # The packed and sqlite tiers persist the update counter; the
-        # legacy JSONL line format cannot, so it restarts at 0 — the
-        # same behavior a restarted shard has always had.
-        assert after["updates"] == (before["updates"] if keeps_counter else 0)
+        assert after["updates"] == before["updates"]
 
     def test_memory_store_needs_no_history_dir(self):
         server = ShardServer(AVOC_SPEC, store="memory", max_resident_series=1)
@@ -493,6 +500,31 @@ class TestStoreKnobs:
                     c.history(series="s")
         finally:
             server.stop()
+
+    @pytest.mark.parametrize("store", ["packed", "sqlite", "jsonl"])
+    def test_reset_after_a_restart_wipes_what_the_last_run_wrote(
+        self, tmp_path, store
+    ):
+        row = dict(zip(MODULES, [18.0, 18.1, 24.0]))
+        server = ShardServer(AVOC_SPEC, history_dir=tmp_path, store=store)
+        server.start()
+        with VoterClient(*server.address) as c:
+            for i in range(5):
+                c.vote(i, row, series="s")
+        server.stop()
+        reborn = ShardServer(AVOC_SPEC, history_dir=tmp_path, store=store)
+        reborn.start()
+        try:
+            with VoterClient(*reborn.address) as c:
+                c.reset()
+                c.vote(0, row, series="s")
+                after = c.request({"op": "history", "series": "s"})
+        finally:
+            reborn.stop()
+        fresh = build_engine(AVOC_SPEC)
+        fresh.process_batch(np.asarray([list(row.values())]), MODULES)
+        assert after["records"] == fresh.voter.history.snapshot()
+        assert after["updates"] == 1
 
     def test_unknown_store_kind_is_rejected(self, tmp_path):
         with pytest.raises(ReproError, match="unknown store"):

@@ -1,8 +1,8 @@
 """Equivalence tests for the vectorized batch fusion core.
 
 The contract under test: :meth:`FusionEngine.process_batch` (and the
-``repro.fuse`` convenience wrapper, and the ``run_matrix`` compat
-wrapper) must be **bit-identical** to feeding the same matrix through
+``repro.fuse`` convenience wrapper, and ``BatchResult.to_results``)
+must be **bit-identical** to feeding the same matrix through
 the per-round :meth:`FusionEngine.process` loop — values, statuses,
 outcome diagnostics, engine counters, and voter/history end-state —
 for every registered algorithm, on clean and gap-ridden matrices,
@@ -293,21 +293,21 @@ class TestEquivalenceEdgeCases:
         assert batch.n_rounds == 0
         assert engine.rounds_processed == 0
 
-    def test_shape_validation_matches_run_matrix(self):
+    def test_shape_validation(self):
         engine = FusionEngine(create_voter("average"))
         with pytest.raises(FusionError):
             engine.process_batch(np.zeros(3), ["a", "b", "c"])
         with pytest.raises(FusionError):
             engine.process_batch(np.zeros((2, 3)), ["a", "b"])
 
-    def test_run_matrix_is_a_thin_wrapper(self, uc1):
+    def test_to_results_matches_the_per_round_loop(self, uc1):
         matrix, modules = uc1
         e_ref = FusionEngine(create_voter("avoc"), roster=modules)
-        e_wrap = FusionEngine(create_voter("avoc"), roster=modules)
+        e_batch = FusionEngine(create_voter("avoc"), roster=modules)
         reference = run_per_round(e_ref, matrix[:80], modules)
-        wrapped = e_wrap.run_matrix(matrix[:80], modules)
-        assert_results_identical(reference, wrapped)
-        assert_end_state_identical(e_ref, e_wrap)
+        batch = e_batch.process_batch(matrix[:80], modules, diagnostics=True)
+        assert_results_identical(reference, batch.to_results())
+        assert_end_state_identical(e_ref, e_batch)
 
 
 class TestFuseApi:
@@ -390,53 +390,16 @@ class TestBatchResult:
 
 
 class TestQuorumDeprecation:
-    def test_quorum_percentage_warns(self):
-        from repro.voting.base import VoterParams
-
-        with pytest.warns(DeprecationWarning, match="quorum_percentage"):
-            VoterParams(quorum_percentage=50.0)
+    """The voter-level ``quorum_percentage`` is gone: quorum is the
+    engine's :class:`QuorumRule` alone."""
 
     def test_zero_percentage_stays_silent(self):
         from repro.voting.base import VoterParams
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            VoterParams()  # must not warn
-
-    def test_engine_adopts_deprecated_percentage(self):
-        with pytest.warns(DeprecationWarning):
-            params = AvocVoter.default_params().with_overrides(
-                quorum_percentage=80.0
-            )
-        engine = FusionEngine(AvocVoter(params=params))
-        assert engine.quorum.mode == "UNTIL"
-        assert engine.quorum.percentage == 80.0
-
-    def test_explicit_rule_wins_over_deprecated_percentage(self):
-        with pytest.warns(DeprecationWarning):
-            params = AvocVoter.default_params().with_overrides(
-                quorum_percentage=80.0
-            )
-        engine = FusionEngine(
-            AvocVoter(params=params), quorum=QuorumRule(mode="ANY")
-        )
-        assert engine.quorum.mode == "ANY"
-
-    def test_deprecated_percentage_still_enforced_in_batch(self, uc2):
-        # Equivalence must hold for legacy voters carrying the old
-        # voter-level quorum too (the engine adopts it).
-        matrix, modules = uc2
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            make = lambda: FusionEngine(
-                AvocVoter(
-                    params=AvocVoter.default_params().with_overrides(
-                        quorum_percentage=100.0
-                    )
-                ),
-                roster=modules,
-            )
-            check_equivalence(make, matrix[:80], modules)
+            params = VoterParams()  # must not warn
+        assert not hasattr(params, "quorum_percentage")
 
 
 class TestProcessMatrixFunction:

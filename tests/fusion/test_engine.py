@@ -28,37 +28,38 @@ class TestHappyPath:
         engine.process(Round.from_values(0, [1.0, 2.0]))
         assert engine.roster == ["E1", "E2"]
 
-    def test_run_matrix(self):
+    def test_process_batch_results(self):
         engine = FusionEngine(MeanVoter())
         matrix = np.array([[1.0, 3.0], [2.0, 4.0]])
-        results = engine.run_matrix(matrix)
+        results = engine.process_batch(matrix, diagnostics=True).to_results()
         assert [r.value for r in results] == [2.0, 3.0]
 
-    def test_run_matrix_custom_modules(self):
+    def test_process_batch_custom_modules(self):
         engine = FusionEngine(MeanVoter())
-        engine.run_matrix(np.ones((1, 3)), modules=["a", "b", "c"])
+        engine.process_batch(np.ones((1, 3)), modules=["a", "b", "c"])
         assert engine.roster == ["a", "b", "c"]
 
-    def test_run_matrix_nan_becomes_missing(self):
+    def test_process_batch_nan_becomes_missing(self):
         engine = FusionEngine(MeanVoter())
-        results = engine.run_matrix(np.array([[1.0, np.nan, 3.0]]))
+        batch = engine.process_batch(np.array([[1.0, np.nan, 3.0]]), diagnostics=True)
+        results = batch.to_results()
         assert results[0].value == 2.0
 
     def test_output_series_marks_skips_as_nan(self):
         engine = FusionEngine(MeanVoter())
         matrix = np.array([[1.0, 1.0], [np.nan, np.nan], [2.0, 2.0]])
-        results = engine.run_matrix(matrix)
+        results = engine.process_batch(matrix, diagnostics=True).to_results()
         series = engine.output_series(results)
         # Middle round has all values missing and no prior output ->
         # depends on policy; with defaults the last value is held.
         assert series[0] == 1.0
 
-    def test_run_matrix_shape_errors(self):
+    def test_process_batch_shape_errors(self):
         engine = FusionEngine(MeanVoter())
         with pytest.raises(FusionError):
-            engine.run_matrix(np.ones(3))
+            engine.process_batch(np.ones(3))
         with pytest.raises(FusionError):
-            engine.run_matrix(np.ones((2, 2)), modules=["only-one"])
+            engine.process_batch(np.ones((2, 2)), modules=["only-one"])
 
 
 class TestMissingValuePolicy:

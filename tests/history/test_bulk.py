@@ -13,7 +13,7 @@ from repro.history import (
 )
 
 
-def test_series_filename_is_safe_and_collision_free():
+def test_series_file_names_are_safe_and_collision_free():
     name = series_filename("room/42 §température")
     assert name.endswith(".jsonl")
     assert "/" not in name and " " not in name
@@ -34,8 +34,7 @@ def test_bulk_round_trip(backing, tmp_path):
     assert store.read("a") is None
     store.write("a", {"E1": 0.5, "E2": 1.0}, 7)
     store.write("b", {"E1": 0.25}, 3)
-    expected_updates = 0 if backing == "jsonl" else 7
-    assert store.read("a") == ({"E1": 0.5, "E2": 1.0}, expected_updates)
+    assert store.read("a") == ({"E1": 0.5, "E2": 1.0}, 7)
     assert store.series() == ("a", "b")
     assert "a" in store and "nope" not in store
     assert len(store) == 2
@@ -65,10 +64,21 @@ def test_jsonl_reads_cold_without_enumeration(tmp_path):
     JsonlStateStore(tmp_path).write("room/42", {"E1": 0.5}, 9)
     cold = JsonlStateStore(tmp_path)
     assert cold.series() == ()  # nothing enumerable cold...
-    assert cold.read("room/42") == ({"E1": 0.5}, 0)  # ...but reads work
+    assert cold.read("room/42") == ({"E1": 0.5}, 9)  # ...but reads work
 
 
 def test_jsonl_uses_legacy_per_series_files(tmp_path):
     store = JsonlStateStore(tmp_path)
     store.write("a", {"E1": 0.5}, 1)
     assert (tmp_path / series_filename("a")).exists()
+
+
+def test_jsonl_clear_removes_logs_an_earlier_process_wrote(tmp_path):
+    JsonlStateStore(tmp_path).write("old", {"E1": 0.5}, 3)
+    (tmp_path / "voted-rounds.jsonl").write_text("{}\n")  # not a series log
+    cold = JsonlStateStore(tmp_path)
+    cold.write("new", {"E1": 0.25}, 1)
+    cold.clear()
+    assert cold.read("old") is None and cold.read("new") is None
+    assert (tmp_path / "voted-rounds.jsonl").exists()
+    assert series_filename("x" * 80).startswith("x" * 48)

@@ -1,42 +1,39 @@
-"""Tests for the in-memory history store."""
+"""Tests for one series of the in-memory state store."""
 
 from __future__ import annotations
 
-from repro.history.memory import MemoryHistoryStore
+from repro.history import MemoryStateStore
+
+
+def _view():
+    return MemoryStateStore().store_for("k")
 
 
 class TestMemoryStore:
     def test_empty_load(self):
-        assert MemoryHistoryStore().load() == {}
+        assert _view().load_state() is None
 
     def test_save_then_load(self):
-        store = MemoryHistoryStore()
-        store.save({"E1": 0.5, "E2": 1.0})
-        assert store.load() == {"E1": 0.5, "E2": 1.0}
+        view = _view()
+        view.save_state({"E1": 0.5, "E2": 1.0}, 3)
+        assert view.load_state() == ({"E1": 0.5, "E2": 1.0}, 3)
 
     def test_save_replaces_snapshot(self):
-        store = MemoryHistoryStore()
-        store.save({"E1": 0.5})
-        store.save({"E2": 0.7})
-        assert store.load() == {"E2": 0.7}
+        view = _view()
+        view.save_state({"E1": 0.5}, 1)
+        view.save_state({"E2": 0.7}, 2)
+        assert view.load_state() == ({"E2": 0.7}, 2)
 
     def test_load_returns_copy(self):
-        store = MemoryHistoryStore()
-        store.save({"E1": 0.5})
-        snapshot = store.load()
-        snapshot["E1"] = 99.0
-        assert store.load()["E1"] == 0.5
+        view = _view()
+        view.save_state({"E1": 0.5}, 1)
+        records, _ = view.load_state()
+        records["E1"] = 99.0
+        assert view.load_state() == ({"E1": 0.5}, 1)
 
     def test_clear(self):
-        store = MemoryHistoryStore()
-        store.save({"E1": 0.5})
-        store.clear()
-        assert store.load() == {}
-
-    def test_counters(self):
-        store = MemoryHistoryStore()
-        store.save({})
-        store.load()
-        store.load()
-        assert store.save_count == 1
-        assert store.load_count == 2
+        view = _view()
+        view.save_state({"E1": 0.5}, 1)
+        view.clear()
+        assert view.load_state() is None
+        assert "k" not in view.store

@@ -4,15 +4,25 @@ from __future__ import annotations
 
 import json
 import random
+import zlib
 
 import pytest
 
 from repro.exceptions import HistoryStoreError
 from repro.history.packed import (
+    _HEADER,
+    _MAGIC,
     PackedHistoryStore,
     _decode_block,
     _encode_block,
 )
+
+
+def _fail_unlink(monkeypatch):
+    def unlink(self, missing_ok=False):
+        raise OSError("simulated crash")
+
+    monkeypatch.setattr("pathlib.Path.unlink", unlink)
 
 
 def _fill(store, n=20, updates=7):
@@ -23,31 +33,58 @@ def _fill(store, n=20, updates=7):
 class TestBlockCodec:
     def test_round_trip(self):
         block = _encode_block("series-a", {"E1": 0.5, "E2": 1.0}, 42)
-        series, records, updates = _decode_block(block, 0, len(block))
+        series, records, updates = _decode_block(block, 0, len(block), {})
         assert series == "series-a"
         assert records == {"E1": 0.5, "E2": 1.0}
         assert updates == 42
 
     def test_empty_records(self):
         block = _encode_block("s", {}, 0)
-        assert _decode_block(block, 0, len(block)) == ("s", {}, 0)
+        assert _decode_block(block, 0, len(block), {}) == ("s", {}, 0)
 
     def test_corrupt_payload_is_detected(self):
         block = bytearray(_encode_block("s", {"E1": 0.5}, 1))
         block[-1] ^= 0xFF
         with pytest.raises(HistoryStoreError):
-            _decode_block(bytes(block), 0, len(block))
+            _decode_block(bytes(block), 0, len(block), {})
 
     def test_bad_magic_is_detected(self):
         block = bytearray(_encode_block("s", {"E1": 0.5}, 1))
         block[0] ^= 0xFF
         with pytest.raises(HistoryStoreError):
-            _decode_block(bytes(block), 0, len(block))
+            _decode_block(bytes(block), 0, len(block), {})
+
+    def test_shared_roster_decodes_per_block(self):
+        """Blocks sharing a module roster decode to their own values
+        and series, and a differently ordered roster keeps its order."""
+        blocks = [
+            _encode_block("a", {"E1": 0.5, "E2": 1.0}, 1),
+            _encode_block("b", {"E1": 0.25, "E2": 0.75}, 2),
+            _encode_block("c", {"E2": 0.1, "E1": 0.2}, 3),
+        ]
+        rosters = {}
+        decoded = [_decode_block(b, 0, len(b), rosters) for b in blocks]
+        assert decoded == [
+            ("a", {"E1": 0.5, "E2": 1.0}, 1),
+            ("b", {"E1": 0.25, "E2": 0.75}, 2),
+            ("c", {"E2": 0.1, "E1": 0.2}, 3),
+        ]
+        assert list(decoded[2][1]) == ["E2", "E1"]
+        assert len(rosters) == 2
+
+    def test_module_count_beyond_the_payload_is_detected(self):
+        block = _encode_block("s", {"E1": 0.5}, 1)
+        payload = bytearray(block[_HEADER.size:])
+        # n_modules sits after the u16 series length, the key and u64 updates.
+        payload[2 + 1 + 8: 2 + 1 + 12] = (1000).to_bytes(4, "little")
+        forged = _HEADER.pack(_MAGIC, len(payload), zlib.crc32(payload)) + payload
+        with pytest.raises(HistoryStoreError):
+            _decode_block(forged, 0, len(forged), {})
 
     def test_truncated_block_is_detected(self):
         block = _encode_block("s", {"E1": 0.5}, 1)
         with pytest.raises(HistoryStoreError):
-            _decode_block(block[:-3], 0, len(block))
+            _decode_block(block[:-3], 0, len(block), {})
 
 
 class TestRoundTrip:
@@ -260,13 +297,9 @@ class TestCrashRecovery:
         for _ in range(4):
             _fill(store, n=30)
         expected = {f"s{k}": store.read(f"s{k}") for k in range(30)}
-        monkeypatch.setattr(
-            "pathlib.Path.unlink",
-            lambda self, missing_ok=False: (_ for _ in ()).throw(
-                OSError("simulated crash")
-            ),
-        )
-        store.compact()  # unlink failures are swallowed by design
+        _fail_unlink(monkeypatch)
+        with pytest.raises(HistoryStoreError, match="simulated crash"):
+            store.compact()
         monkeypatch.undo()
         store.close()
         reopened = PackedHistoryStore(tmp_path)
@@ -274,6 +307,40 @@ class TestCrashRecovery:
         reopened.compact()  # the orphan segments are reclaimable
         assert reopened.dead_bytes == 0
         reopened.close()
+
+    def test_failed_segment_unlink_is_retried_by_the_next_compaction(
+        self, tmp_path, monkeypatch
+    ):
+        store = PackedHistoryStore(tmp_path, segment_bytes=4096,
+                                   compact_dead_fraction=None)
+        for _ in range(4):
+            _fill(store, n=30)
+        expected = {f"s{k}": store.read(f"s{k}") for k in range(30)}
+        _fail_unlink(monkeypatch)
+        with pytest.raises(HistoryStoreError):
+            store.compact()
+        monkeypatch.undo()
+        assert store.dead_bytes > 0  # the unlinked segments still count
+        store.compact()
+        assert store.dead_bytes == 0
+        assert len(list(tmp_path.glob("seg-*.pack"))) == store.segment_count
+        assert {k: store.read(k) for k in expected} == expected
+        store.close()
+
+    def test_clear_raises_when_a_file_cannot_be_removed(
+        self, tmp_path, monkeypatch
+    ):
+        """A clear that leaves the index behind would come back on
+        restart, so it must not report success."""
+        store = PackedHistoryStore(tmp_path)
+        _fill(store, n=5)
+        _fail_unlink(monkeypatch)
+        with pytest.raises(HistoryStoreError, match="cannot clear"):
+            store.clear()
+        monkeypatch.undo()
+        store.clear()
+        with PackedHistoryStore(tmp_path) as reopened:
+            assert reopened.series() == ()
 
     def test_random_tail_truncation_fuzz(self, tmp_path):
         """Any torn tail leaves a loadable store returning only states

@@ -14,6 +14,7 @@ from repro.history import (
     PackedHistoryStore,
     SqliteStateStore,
     TieredHistoryStore,
+    series_filename,
 )
 from repro.obs import MetricsRegistry
 from repro.voting.history import HistoryRecords
@@ -27,79 +28,79 @@ class TestHotSet:
     def test_hot_set_never_exceeds_capacity(self):
         store = _tiered(hot=3)
         for k in range(10):
-            store.put_state(f"s{k}", {"E1": 0.5}, k)
+            store.write(f"s{k}", {"E1": 0.5}, k)
         assert store.hot_size == 3
         assert store.evictions == 7
 
     def test_unbounded_keeps_everything_resident(self):
         store = _tiered(hot=None)
         for k in range(100):
-            store.put_state(f"s{k}", {"E1": 0.5}, k)
+            store.write(f"s{k}", {"E1": 0.5}, k)
         assert store.hot_size == 100
         assert store.evictions == 0
 
     def test_lru_order_evicts_least_recently_used(self):
         store = _tiered(hot=2)
-        store.put_state("a", {"E1": 0.1}, 1)
-        store.put_state("b", {"E1": 0.2}, 2)
-        assert store.get_state("a") is not None  # touch: a becomes MRU
-        store.put_state("c", {"E1": 0.3}, 3)  # b is the LRU now
+        store.write("a", {"E1": 0.1}, 1)
+        store.write("b", {"E1": 0.2}, 2)
+        assert store.read("a") is not None  # touch: a becomes MRU
+        store.write("c", {"E1": 0.3}, 3)  # b is the LRU now
         assert set(store._hot) == {"a", "c"}
 
     def test_eviction_writes_back_dirty_state(self):
         backing = MemoryStateStore()
         store = TieredHistoryStore(backing, hot_series=1, flush_every=100)
-        store.put_state("a", {"E1": 0.1}, 1)
+        store.write("a", {"E1": 0.1}, 1)
         assert backing.read("a") is None  # batched: not yet flushed
-        store.put_state("b", {"E1": 0.2}, 2)  # evicts a -> write-back
+        store.write("b", {"E1": 0.2}, 2)  # evicts a -> write-back
         assert backing.read("a") == ({"E1": 0.1}, 1)
 
     def test_rehydration_counts_and_restores(self):
         store = _tiered(hot=1)
-        store.put_state("a", {"E1": 0.1}, 5)
-        store.put_state("b", {"E1": 0.2}, 6)  # evicts a
-        assert store.get_state("a") == ({"E1": 0.1}, 5)
+        store.write("a", {"E1": 0.1}, 5)
+        store.write("b", {"E1": 0.2}, 6)  # evicts a
+        assert store.read("a") == ({"E1": 0.1}, 5)
         assert store.rehydrations == 1
 
     def test_write_through_is_immediately_durable(self):
         backing = MemoryStateStore()
         store = TieredHistoryStore(backing, hot_series=8, flush_every=1)
-        store.put_state("a", {"E1": 0.1}, 1)
+        store.write("a", {"E1": 0.1}, 1)
         assert backing.read("a") == ({"E1": 0.1}, 1)
         assert store.dirty_count == 0
 
     def test_flush_every_batches_writes(self):
         backing = MemoryStateStore()
         store = TieredHistoryStore(backing, hot_series=8, flush_every=3)
-        store.put_state("a", {"E1": 0.1}, 1)
-        store.put_state("a", {"E1": 0.2}, 2)
+        store.write("a", {"E1": 0.1}, 1)
+        store.write("a", {"E1": 0.2}, 2)
         assert backing.read("a") is None
-        store.put_state("a", {"E1": 0.3}, 3)  # third save flushes
+        store.write("a", {"E1": 0.3}, 3)  # third save flushes
         assert backing.read("a") == ({"E1": 0.3}, 3)
 
     def test_explicit_flush_and_evict(self):
         backing = MemoryStateStore()
         store = TieredHistoryStore(backing, hot_series=8, flush_every=100)
-        store.put_state("a", {"E1": 0.1}, 1)
+        store.write("a", {"E1": 0.1}, 1)
         store.flush()
         assert backing.read("a") == ({"E1": 0.1}, 1)
         assert store.evict("a") == 1
         assert store.hot_size == 0
         assert store.evict("missing") == 0
-        store.put_state("b", {"E1": 0.2}, 2)
+        store.write("b", {"E1": 0.2}, 2)
         assert store.evict() == 1  # evict-all
 
     def test_close_flushes_dirty_state(self):
         backing = MemoryStateStore()
         store = TieredHistoryStore(backing, hot_series=8, flush_every=100)
-        store.put_state("a", {"E1": 0.1}, 1)
+        store.write("a", {"E1": 0.1}, 1)
         store.close()
         assert backing.read("a") == ({"E1": 0.1}, 1)
 
     def test_delete_and_series_union(self):
         store = _tiered(hot=1, flush_every=100)
-        store.put_state("a", {"E1": 0.1}, 1)  # flushed on eviction...
-        store.put_state("b", {"E1": 0.2}, 2)  # ...b stays dirty in hot
+        store.write("a", {"E1": 0.1}, 1)  # flushed on eviction...
+        store.write("b", {"E1": 0.2}, 2)  # ...b stays dirty in hot
         assert store.series() == ("a", "b")
         assert "a" in store and "b" in store
         store.delete("a")
@@ -120,9 +121,9 @@ class TestHotSet:
         store = TieredHistoryStore(
             MemoryStateStore(), hot_series=1, registry=registry
         )
-        store.put_state("a", {"E1": 0.1}, 1)
-        store.put_state("b", {"E1": 0.2}, 2)
-        store.get_state("a")  # rehydrating a evicts b: 2 evictions total
+        store.write("a", {"E1": 0.1}, 1)
+        store.write("b", {"E1": 0.2}, 2)
+        store.read("a")  # rehydrating a evicts b: 2 evictions total
         rendered = registry.render()
         assert "store_evictions_total 2" in rendered
         assert "store_rehydrations_total 1" in rendered
@@ -139,7 +140,7 @@ class TestMaintenance:
             maintenance_hook=lambda: calls.append(1),
         )
         for k in range(40):
-            store.put_state(f"s{k % 5}", {"E1": k / 40}, k)
+            store.write(f"s{k % 5}", {"E1": k / 40}, k)
         deadline = __import__("time").time() + 2.0
         while not calls and __import__("time").time() < deadline:
             __import__("time").sleep(0.01)
@@ -190,6 +191,7 @@ class TestBitIdentity:
     def test_random_trace_matches_in_memory_reference(self, tmp_path, policy):
         backings = {
             "memory": MemoryStateStore(),
+            "jsonl": JsonlStateStore(tmp_path / "j"),
             "packed": PackedHistoryStore(tmp_path / "p", segment_bytes=4096),
             "sqlite": SqliteStateStore(tmp_path / "s.db"),
         }
@@ -215,33 +217,33 @@ class TestBitIdentity:
             store.close()
 
     def test_jsonl_backing_restores_records_only(self, tmp_path):
-        """The legacy line format has no update counter: records round-
-        trip, the counter restarts at 0 — same as a restarted shard."""
-        store = TieredHistoryStore(
-            JsonlStateStore(tmp_path), hot_series=1
-        )
+        """Only a legacy log line lacks the update counter: it rehydrates
+        its records with the counter at 0.  Once the series writes
+        again, records and counter both round-trip."""
+        (tmp_path / series_filename("a")).write_text('{"E1": 0.4}\n')
+        store = TieredHistoryStore(JsonlStateStore(tmp_path), hot_series=1)
         h = HistoryRecords(store=store.store_for("a"))
-        h.update({"E1": 0.4})
+        assert h.snapshot() == {"E1": 0.4}
+        assert h.update_count == 0
         h.update({"E1": 0.9})
+        h.update({"E1": 0.2})
         snapshot = h.snapshot()
         store.evict()
         rehydrated = HistoryRecords(store=store.store_for("a"))
         assert rehydrated.snapshot() == snapshot
-        assert rehydrated.update_count == 0
+        assert rehydrated.update_count == 2
         store.close()
 
 
 class TestSeriesViews:
-    def test_legacy_load_save_protocol(self):
+    def test_view_maps_onto_the_store(self):
         store = _tiered(hot=4)
         view = store.store_for("a")
-        assert view.load() == {}
-        view.save({"E1": 0.5})
-        assert view.load() == {"E1": 0.5}
-        assert store.get_state("a") == ({"E1": 0.5}, 0)
+        assert (view.store, view.series) == (store, "a")
+        assert view.load_state() is None
         view.save_state({"E1": 0.25}, 9)
         assert view.load_state() == ({"E1": 0.25}, 9)
-        view.save({"E1": 0.75})  # legacy save keeps the counter
-        assert view.load_state() == ({"E1": 0.75}, 9)
+        assert store.read("a") == ({"E1": 0.25}, 9)
         view.clear()
         assert view.load_state() is None
+        assert "a" not in store

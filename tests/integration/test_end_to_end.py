@@ -10,7 +10,7 @@ from repro.datasets.injection import drop_values
 from repro.datasets.loader import load_csv, save_csv
 from repro.fusion.engine import FusionEngine
 from repro.fusion.faults import FaultPolicy
-from repro.history.file import JsonlHistoryStore
+from repro.history import JsonlStateStore
 from repro.simulation.runner import run_uc1_simulation
 from repro.vdx.examples import AVOC_SPEC
 from repro.vdx.factory import build_engine, build_voter
@@ -29,7 +29,9 @@ class TestVdxToFigurePipeline:
         spec = VotingSpec.from_file(spec_path)
         engine = build_engine(spec)
         dataset = load_csv(data_path)
-        results = engine.run_matrix(dataset.matrix, modules=dataset.modules)
+        results = engine.process_batch(
+            dataset.matrix, dataset.modules, diagnostics=True
+        ).to_results()
         outputs = engine.output_series(results)
         assert outputs.shape == (uc1_small.n_rounds,)
         assert 17.0 < np.nanmean(outputs) < 19.5
@@ -44,15 +46,18 @@ class TestVdxToFigurePipeline:
 
 class TestPersistentHistoryAcrossRestart:
     def test_warm_restart_skips_bootstrap(self, tmp_path, uc1_small_faulty):
-        store_path = tmp_path / "history.jsonl"
-        first = build_voter(AVOC_SPEC, history_store=JsonlHistoryStore(store_path))
+        first = build_voter(
+            AVOC_SPEC, history_store=JsonlStateStore(tmp_path).store_for("uc1")
+        )
         for voting_round in uc1_small_faulty.slice(0, 50).rounds():
             first.vote(voting_round)
         assert first.bootstraps_used == 1
 
         # New process: records reload, set is no longer "fresh", so the
         # restarted voter goes straight to the Hybrid path.
-        revived = build_voter(AVOC_SPEC, history_store=JsonlHistoryStore(store_path))
+        revived = build_voter(
+            AVOC_SPEC, history_store=JsonlStateStore(tmp_path).store_for("uc1")
+        )
         outcome = revived.vote(next(iter(uc1_small_faulty.slice(50, 51).rounds())))
         assert not outcome.used_bootstrap
         assert "E4" in outcome.eliminated

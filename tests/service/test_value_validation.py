@@ -15,7 +15,7 @@ import socket
 
 import pytest
 
-from repro.history.memory import MemoryHistoryStore
+from repro.history import MemoryStateStore
 from repro.service.client import ServiceError, VoterClient
 from repro.service.server import VoterServer
 from repro.vdx.examples import AVOC_SPEC, STANDARD_SPEC
@@ -99,24 +99,23 @@ class TestMalformedValues:
 
 class TestConfigureKeepsHistoryStore:
     def test_store_survives_hot_swap(self):
-        store = MemoryHistoryStore()
-        with VoterServer(STANDARD_SPEC, history_store=store) as server:
+        store = MemoryStateStore()
+        view = store.store_for("k")
+        with VoterServer(STANDARD_SPEC, history_store=view) as server:
             host, port = server.address
             with VoterClient(host, port) as client:
                 client.vote(0, READINGS)
-                saves_before = store.save_count
-                assert saves_before > 0
-                assert store.load() != {}
+                assert store.read("k")[1] == 1
 
                 assert client.configure(AVOC_SPEC.to_dict())
 
                 # The swap cleared the old scheme's records...
-                assert store.load() == {}
+                assert store.read("k") is None
                 # ...but kept the store attached: the new engine
                 # persists its records to the same backend.
                 client.vote(0, READINGS)
-                assert store.save_count > saves_before
-                assert store.load() != {}
+                records, updates = store.read("k")
+                assert records != {} and updates == 1
 
     def test_swap_without_store_stays_storeless(self):
         with VoterServer(STANDARD_SPEC) as server:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.history.memory import MemoryHistoryStore
+from repro.history import MemoryStateStore
 from repro.types import Round
 from repro.vdx.examples import (
     AVOC_SPEC,
@@ -59,17 +59,15 @@ class TestVoterMapping:
     def test_quorum_left_to_engine(self):
         # The spec's quorum is no longer baked into the voter params —
         # the engine-level QuorumRule is the single enforcement point.
-        voter = build_voter(AVOC_SPEC)
-        assert voter.params.quorum_percentage == 0.0
         engine = build_engine(AVOC_SPEC)
         assert engine.quorum.mode == AVOC_SPEC.quorum
         assert engine.quorum.percentage == AVOC_SPEC.quorum_percentage
 
     def test_history_store_forwarded(self):
-        store = MemoryHistoryStore()
-        voter = build_voter(STANDARD_SPEC, history_store=store)
+        store = MemoryStateStore()
+        voter = build_voter(STANDARD_SPEC, history_store=store.store_for("k"))
         voter.vote_values([1.0, 1.0, 5.0])
-        assert store.save_count == 1
+        assert store.read("k") == (voter.history.snapshot(), 1)
 
     def test_categorical_history_mode_mapping(self):
         voter = build_voter(CATEGORICAL_SPEC)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import ConfigurationError, EmptyRoundError
+from repro.fusion.engine import FusionEngine
+from repro.fusion.quorum import QuorumRule
 from repro.types import Round
 from repro.voting.base import VoterParams
 from repro.voting.standard import StandardVoter
@@ -25,7 +27,7 @@ class TestVoterParamsValidation:
             {"elimination": "sometimes"},
             {"elimination_threshold": 1.5},
             {"collation": "MODE"},
-            {"quorum_percentage": 150.0},
+            {"learning_rate": 0.0},
             {"bootstrap_mode": "maybe"},
         ],
     )
@@ -81,31 +83,34 @@ class TestPipelineBasics:
 
 
 class TestQuorum:
-    def _voter(self, pct):
-        params = StandardVoter.default_params().with_overrides(quorum_percentage=pct)
-        return StandardVoter(params=params)
+    """Quorum is the engine's rule, checked before the voter runs."""
+
+    HALF_SILENT = {"a": 1.0, "b": None}
+
+    def _engine(self, pct):
+        return FusionEngine(
+            StandardVoter(), quorum=QuorumRule(mode="UNTIL", percentage=pct)
+        )
 
     def test_quorum_failure_yields_no_value(self):
-        voter = self._voter(100.0)
-        outcome = voter.vote(Round.from_mapping(0, {"a": 1.0, "b": None}))
-        assert outcome.value is None
-        assert not outcome.quorum_reached
+        result = self._engine(100.0).process(Round.from_mapping(0, self.HALF_SILENT))
+        assert result.value is None
+        assert result.status == "skipped"
+        assert result.outcome is None  # the voter never ran
 
     def test_quorum_satisfied(self):
-        voter = self._voter(50.0)
-        outcome = voter.vote(Round.from_mapping(0, {"a": 1.0, "b": None}))
-        assert outcome.quorum_reached
-        assert outcome.value == 1.0
+        result = self._engine(50.0).process(Round.from_mapping(0, self.HALF_SILENT))
+        assert result.ok
+        assert result.value == 1.0
 
     def test_quorum_failure_does_not_update_history(self):
-        voter = self._voter(100.0)
-        voter.vote(Round.from_mapping(0, {"a": 1.0, "b": None}))
-        assert voter.history.update_count == 0
+        engine = self._engine(100.0)
+        engine.process(Round.from_mapping(0, self.HALF_SILENT))
+        assert engine.voter.history.update_count == 0
 
     def test_zero_percentage_disables_check(self):
-        voter = self._voter(0.0)
-        outcome = voter.vote(Round.from_mapping(0, {"a": 1.0, "b": None}))
-        assert outcome.quorum_reached
+        result = self._engine(0.0).process(Round.from_mapping(0, self.HALF_SILENT))
+        assert result.ok
 
 
 class TestEliminationModes:

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.exceptions import QuorumNotReachedError
+from repro.fusion.engine import FusionEngine
+from repro.fusion.faults import FaultPolicy
+from repro.fusion.quorum import QuorumRule
 from repro.types import Round
 from repro.voting.mlv import MaximumLikelihoodVoter
 
@@ -36,13 +40,14 @@ class TestGroupSelection:
         assert voter.history.get("E3") < voter.history.get("E1")
 
     def test_quorum_respected(self):
-        params = MaximumLikelihoodVoter.default_params().with_overrides(
-            quorum_percentage=100.0
+        engine = FusionEngine(
+            MaximumLikelihoodVoter(),
+            quorum=QuorumRule(mode="UNTIL", percentage=100.0),
+            fault_policy=FaultPolicy(on_quorum_failure="raise"),
         )
-        voter = MaximumLikelihoodVoter(params)
-        outcome = voter.vote(Round.from_mapping(0, {"a": 1.0, "b": None}))
-        assert outcome.value is None
-        assert not outcome.quorum_reached
+        with pytest.raises(QuorumNotReachedError):
+            engine.process(Round.from_mapping(0, {"a": 1.0, "b": None}))
+        assert engine.voter.history.update_count == 0
 
     def test_reliability_floor_keeps_likelihood_finite(self):
         voter = MaximumLikelihoodVoter()
